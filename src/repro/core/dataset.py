@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from ..gnn.data import GraphData
 from ..locking.base import LockingResult
-from .features import extract_features
+from ..obs import span
+from .features import neighbourhood_counts, node_columns
 from .graph import CircuitGraph, block_diagonal, circuit_to_graph
 from .labeling import class_map_for_scheme, labels_to_classes
 
@@ -120,6 +121,11 @@ def build_dataset(instances: Sequence[LockedInstance]) -> NodeDataset:
     All instances must use the same locking family (same class map) and the
     same cell library (same feature length).
     """
+    with span("dataset_build", instances=len(instances)):
+        return _build(instances)
+
+
+def _build(instances: Sequence[LockedInstance]) -> NodeDataset:
     if not instances:
         raise ValueError("cannot build a dataset from zero instances")
     class_map = class_map_for_scheme(instances[0].result.scheme)
@@ -131,7 +137,8 @@ def build_dataset(instances: Sequence[LockedInstance]) -> NodeDataset:
             )
 
     graphs: List[CircuitGraph] = []
-    feature_blocks: List[np.ndarray] = []
+    structural_blocks: List[np.ndarray] = []
+    onehot_blocks: List[np.ndarray] = []
     label_blocks: List[np.ndarray] = []
     node_names: List[str] = []
     instance_index_parts: List[np.ndarray] = []
@@ -140,20 +147,27 @@ def build_dataset(instances: Sequence[LockedInstance]) -> NodeDataset:
         circuit = inst.result.locked
         graph = circuit_to_graph(circuit)
         graphs.append(graph)
-        feature_blocks.append(extract_features(circuit, graph))
+        structural, type_onehot = node_columns(circuit, graph)
+        structural_blocks.append(structural)
+        onehot_blocks.append(type_onehot)
         label_blocks.append(labels_to_classes(inst.result, graph, class_map))
-        node_names.extend(f"{inst.name}::{node}" for node in graph.nodes)
+        prefix = f"{inst.name}::"
+        node_names.extend([prefix + node for node in graph.nodes])
         instance_index_parts.append(np.full(graph.n_nodes, idx, dtype=np.int64))
 
-    features = np.vstack(feature_blocks)
-    if len({block.shape[1] for block in feature_blocks}) != 1:
+    if len({block.shape[1] for block in onehot_blocks}) != 1:
         raise ValueError("instances use different cell libraries (|f| mismatch)")
+    # The neighbourhood counts of every design in one pass over the
+    # block-diagonal adjacency (no edges between designs).
+    adjacency = block_diagonal(graphs)
+    counts = neighbourhood_counts(adjacency, np.vstack(onehot_blocks))
+    features = np.hstack((np.vstack(structural_blocks), counts))
     return NodeDataset(
         instances=list(instances),
         graphs=graphs,
         features=features,
         labels=np.concatenate(label_blocks),
-        adjacency=block_diagonal(graphs),
+        adjacency=adjacency,
         node_names=node_names,
         instance_index=np.concatenate(instance_index_parts),
         class_map=class_map,

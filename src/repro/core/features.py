@@ -22,9 +22,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..netlist.circuit import Circuit
+from ..netlist.traversal import circuit_view
 from .graph import CircuitGraph, circuit_to_graph
 
-__all__ = ["feature_names", "extract_features", "FEATURE_STRUCTURAL"]
+__all__ = [
+    "feature_names",
+    "extract_features",
+    "node_columns",
+    "neighbourhood_counts",
+    "FEATURE_STRUCTURAL",
+]
 
 #: The five structural features preceding the per-cell neighbourhood counts.
 FEATURE_STRUCTURAL: Tuple[str, ...] = ("PI", "KI", "PO", "IN", "OUT")
@@ -46,36 +53,55 @@ def extract_features(
     """
     if graph is None:
         graph = circuit_to_graph(circuit)
-    library = circuit.library
+    structural, type_onehot = node_columns(circuit, graph)
+    counts = neighbourhood_counts(graph.adjacency, type_onehot, hops=hops)
+    return np.hstack((structural, counts))
+
+
+def node_columns(circuit: Circuit, graph: CircuitGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """The five structural features and the one-hot cell type of every node.
+
+    Both come straight from the compiled fan-in / fan-out CSRs of
+    :func:`~repro.netlist.traversal.circuit_view`.
+    """
+    view = circuit_view(circuit)
+    if graph.nodes != view.names[: view.n_gates]:
+        raise ValueError("graph nodes do not follow the circuit's gate order")
     n = graph.n_nodes
-    n_types = len(library)
-    features = np.zeros((n, 5 + n_types), dtype=np.float64)
+    structural = np.zeros((n, len(FEATURE_STRUCTURAL)), dtype=np.float64)
+    sinks, sources = view.edge_arrays()
+    first_ki = n + view.n_pi
+    reads_pi = (sources >= n) & (sources < first_ki)
+    reads_ki = (sources >= first_ki) & (sources < first_ki + view.n_ki)
+    structural[sinks[reads_pi], 0] = 1.0
+    structural[sinks[reads_ki], 1] = 1.0
+    outputs = [g for g in map(view.gate_id, circuit.outputs) if g is not None]
+    structural[outputs, 2] = 1.0
+    structural[:, 3] = np.diff(view.fanin_ptr)
+    structural[:, 4] = np.diff(view.fanout_ptr[: n + 1])
 
-    fanout = circuit.fanout_map()
-    type_onehot = np.zeros((n, n_types), dtype=np.float64)
-    for i, name in enumerate(graph.nodes):
-        gate = circuit.gate(name)
-        connected_pi = any(circuit.is_input(net) for net in gate.inputs)
-        connected_ki = any(circuit.is_key_input(net) for net in gate.inputs)
-        connected_po = circuit.is_output(name)
-        features[i, 0] = float(connected_pi)
-        features[i, 1] = float(connected_ki)
-        features[i, 2] = float(connected_po)
-        features[i, 3] = float(len(gate.inputs))
-        features[i, 4] = float(len(fanout.get(name, ())))
-        type_onehot[i, library.index(gate.cell.name)] = 1.0
+    library = circuit.library
+    type_onehot = np.zeros((n, len(library)), dtype=np.float64)
+    cell_index = [library.index(gate.cell.name) for gate in circuit]
+    type_onehot[np.arange(n), cell_index] = 1.0
+    return structural, type_onehot
 
-    # Neighbourhood reach within ``hops`` hops (excluding the node itself,
-    # matching the example in Fig. 3b where node i's own XOR is not counted).
-    adjacency = graph.adjacency
-    reach = adjacency.copy()
-    power = adjacency.copy()
+
+def neighbourhood_counts(
+    adjacency: sp.csr_matrix, type_onehot: np.ndarray, *, hops: int = 2
+) -> np.ndarray:
+    """Per-node counts of each cell type within ``hops`` hops.
+
+    The node itself is not counted, matching the example in Fig. 3b where
+    node i's own XOR is left out.  Rows only see their own connected block,
+    so one call over a block-diagonal adjacency equals one call per block.
+    """
+    reach = power = adjacency
     for _ in range(hops - 1):
         power = power @ adjacency
         reach = reach + power
     reach = (reach > 0).astype(np.float64)
-    reach = sp.csr_matrix(reach)
-    reach.setdiag(0)
-    reach.eliminate_zeros()
-    features[:, 5:] = reach @ type_onehot
-    return features
+    counts = reach @ type_onehot
+    # The reach diagonal is 0/1: subtract each node's own cell where set.
+    counts -= reach.diagonal()[:, None] * type_onehot
+    return counts

@@ -10,12 +10,13 @@ and POs is captured in the node feature vectors instead
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..netlist.circuit import Circuit
+from ..netlist.traversal import circuit_view
 
 __all__ = ["CircuitGraph", "circuit_to_graph", "block_diagonal"]
 
@@ -41,22 +42,15 @@ class CircuitGraph:
 
 def circuit_to_graph(circuit: Circuit) -> CircuitGraph:
     """Convert a netlist to its undirected gate-connectivity graph."""
-    nodes = tuple(circuit.gate_names())
-    index = {name: i for i, name in enumerate(nodes)}
-    rows: List[int] = []
-    cols: List[int] = []
-    for name in nodes:
-        gate = circuit.gate(name)
-        i = index[name]
-        for net in gate.inputs:
-            j = index.get(net)
-            if j is None:
-                continue  # PI / KI: captured as a feature, not an edge
-            rows.extend((i, j))
-            cols.extend((j, i))
-    n = len(nodes)
-    if rows:
-        data = np.ones(len(rows), dtype=np.float64)
+    view = circuit_view(circuit)
+    n = view.n_gates
+    nodes = view.names[:n]
+    sinks, sources = view.edge_arrays()
+    wire = sources < n  # PI / KI reads are features, not edges
+    rows = np.concatenate((sinks[wire], sources[wire]))
+    cols = np.concatenate((sources[wire], sinks[wire]))
+    if rows.size:
+        data = np.ones(rows.size, dtype=np.float64)
         adjacency = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         adjacency.data[:] = 1.0  # collapse duplicate edges
     else:

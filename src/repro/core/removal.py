@@ -17,6 +17,7 @@ from typing import Dict, List, Mapping, Optional, Set
 
 from ..locking.base import DESIGN
 from ..netlist.circuit import Circuit, CircuitError
+from ..obs import span
 
 __all__ = ["RemovalError", "remove_protection_logic"]
 
@@ -49,6 +50,11 @@ def remove_protection_logic(
         :class:`RemovalError`; otherwise the offending sink keeps reading the
         (now undriven) net and the caller can inspect the damage.
     """
+    with span("removal", gates=len(locked)):
+        return _remove(locked, final_labels, strict)
+
+
+def _remove(locked: Circuit, final_labels: Mapping[str, str], strict: bool) -> Circuit:
     removed: Set[str] = {
         gate for gate, label in final_labels.items() if label != DESIGN
     }

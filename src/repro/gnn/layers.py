@@ -61,6 +61,10 @@ class DenseLayer:
     def gradients(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The last forward pass's activations are scratch, not model state.
+        return {**self.__dict__, "_cache": {}}
+
 
 class GraphSageLayer:
     """GraphSAGE layer with mean aggregation and concatenation.
@@ -113,6 +117,10 @@ class GraphSageLayer:
     def gradients(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The last forward pass's activations are scratch, not model state.
+        return {**self.__dict__, "_cache": {}}
+
 
 class Dropout:
     """Inverted dropout."""
@@ -136,3 +144,6 @@ class Dropout:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_mask": None}

@@ -120,14 +120,23 @@ class GraphSageClassifier:
     ) -> np.ndarray:
         """Return class probabilities for every node."""
         h = self.dropouts[0].forward(features, training)
-        h = self.input_layer.forward(h, training)
+        h = self._step(self.input_layer, training, h)
         h = self.dropouts[1].forward(h, training)
-        h = self.sage1.forward(h, adj_norm, training)
+        h = self._step(self.sage1, training, h, adj_norm)
         h = self.dropouts[2].forward(h, training)
-        h = self.sage2.forward(h, adj_norm, training)
+        h = self._step(self.sage2, training, h, adj_norm)
         h = self.dropouts[3].forward(h, training)
-        logits = self.output_layer.forward(h, training)
+        logits = self._step(self.output_layer, training, h)
         return softmax(logits)
+
+    @staticmethod
+    def _step(layer, training: bool, *inputs) -> np.ndarray:
+        out = layer.forward(*inputs, training=training)
+        if not training:
+            # No backward pass follows inference: free the saved activations
+            # now rather than holding every layer's until the next pass.
+            layer._cache = {}
+        return out
 
     def backward(self, grad_logits: np.ndarray) -> None:
         grad = self.output_layer.backward(grad_logits)

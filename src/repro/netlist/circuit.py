@@ -13,7 +13,7 @@ connectivity is recorded per gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .gates import BENCH8, CellLibrary, CellType
 
@@ -70,6 +70,12 @@ class Circuit:
         self._outputs: List[str] = []
         self._gates: Dict[str, Gate] = {}
         self._topo_cache: Optional[List[str]] = None
+        # Derived state, rebuilt on demand and never pickled: membership sets
+        # over the PI / KI lists (the lists keep declaration order) and the
+        # compiled integer view of :mod:`repro.netlist.traversal`.
+        self._input_set: Optional[Set[str]] = None
+        self._key_input_set: Optional[Set[str]] = None
+        self._view: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,13 +84,13 @@ class Circuit:
         """Declare a primary input net."""
         self._check_new_net(name)
         self._inputs.append(name)
-        self._invalidate()
+        self._invalidate(ports=True)
 
     def add_key_input(self, name: str) -> None:
         """Declare a key input net (a locking key bit)."""
         self._check_new_net(name)
         self._key_inputs.append(name)
-        self._invalidate()
+        self._invalidate(ports=True)
 
     def add_output(self, name: str) -> None:
         """Declare a primary output.  The net must eventually be driven."""
@@ -128,7 +134,7 @@ class Circuit:
             self._key_inputs.remove(name)
         except ValueError:
             raise CircuitError(f"no key input named {name}") from None
-        self._invalidate()
+        self._invalidate(ports=True)
 
     def rename_net(self, old: str, new: str) -> None:
         """Rename a net everywhere it appears (driver, sinks, port lists)."""
@@ -145,7 +151,7 @@ class Circuit:
         self._inputs = [new if n == old else n for n in self._inputs]
         self._key_inputs = [new if n == old else n for n in self._key_inputs]
         self._outputs = [new if n == old else n for n in self._outputs]
-        self._invalidate()
+        self._invalidate(ports=True)
 
     def replace_gate_input(self, gate_name: str, old: str, new: str) -> None:
         """Rewire one gate: every occurrence of ``old`` in its inputs becomes ``new``."""
@@ -198,6 +204,10 @@ class Circuit:
         except KeyError:
             raise CircuitError(f"no gate named {name}") from None
 
+    def get_gate(self, name: str) -> Optional[Gate]:
+        """The gate driving ``name``, or ``None`` (no copy, unlike :attr:`gates`)."""
+        return self._gates.get(name)
+
     def has_gate(self, name: str) -> bool:
         return name in self._gates
 
@@ -205,20 +215,20 @@ class Circuit:
         return tuple(self._gates)
 
     def is_input(self, net: str) -> bool:
-        return net in self._inputs
+        if self._input_set is None:
+            self._input_set = set(self._inputs)
+        return net in self._input_set
 
     def is_key_input(self, net: str) -> bool:
-        return net in self._key_inputs
+        if self._key_input_set is None:
+            self._key_input_set = set(self._key_inputs)
+        return net in self._key_input_set
 
     def is_output(self, net: str) -> bool:
         return net in self._outputs
 
     def net_exists(self, net: str) -> bool:
-        return (
-            net in self._gates
-            or net in self._inputs
-            or net in self._key_inputs
-        )
+        return net in self._gates or self.is_input(net) or self.is_key_input(net)
 
     def __len__(self) -> int:
         """Number of gates."""
@@ -325,5 +335,24 @@ class Circuit:
         if self.net_exists(name):
             raise CircuitError(f"net {name} already exists")
 
-    def _invalidate(self) -> None:
+    def _invalidate(self, *, ports: bool = False) -> None:
+        """Drop derived state; ``ports`` when the PI / KI lists changed."""
         self._topo_cache = None
+        self._view = None
+        if ports:
+            self._input_set = None
+            self._key_input_set = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle exactly the fields of the pre-view format, so artifacts stay
+        # byte-identical and old pickles load through __setstate__.
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        for key in _DERIVED:
+            setattr(self, key, None)
+
+
+#: Circuit attributes rebuilt on demand and left out of pickles.
+_DERIVED = ("_input_set", "_key_input_set", "_view")

@@ -34,19 +34,29 @@ def remove_buffers(circuit: Circuit) -> Tuple[Circuit, Dict[str, str]]:
     """Bypass BUF gates whose output is not a primary output."""
     out = circuit.copy()
     name_map = {name: name for name in out.gate_names()}
+    # Net -> the gates reading it (an insertion-ordered set), kept in step
+    # with every rewire, so a BUF costs its own fan-out, not a netlist scan.
+    readers: Dict[str, Dict[str, None]] = {}
+    for gate in out:
+        for net in gate.inputs:
+            readers.setdefault(net, {})[gate.name] = None
     changed = True
     while changed:
         changed = False
         for name in list(out.gate_names()):
-            gate = out.gates.get(name)
+            gate = out.get_gate(name)
             if gate is None or gate.cell.name != "BUF":
                 continue
             if out.is_output(name):
                 continue
             source = gate.inputs[0]
-            for sink in out.fanout_of(name):
+            sinks = readers.pop(name, {})
+            for sink in sinks:
                 out.replace_gate_input(sink, name, source)
             out.remove_gate(name)
+            moved = readers.setdefault(source, {})
+            moved.pop(name, None)
+            moved.update(sinks)
             name_map.pop(name, None)
             changed = True
     return out, name_map

@@ -152,6 +152,10 @@ def _merge_pass(
     machinery we instead perform merges directly as cell rewrites on the
     mapped netlist; see ``_try_merge`` for the supported patterns.
     """
+    # One map serves the whole pass: a merge moves the absorbed gate's reads
+    # onto the outer gate one for one, so every surviving net keeps its
+    # reader count, and the absorbed net (read only by the outer gate) is
+    # gone.
     fanout = work.fanout_map()
 
     def single_fanout(net: str) -> bool:
@@ -163,7 +167,7 @@ def _merge_pass(
         )
 
     for name in list(work.topological_order()):
-        gate = work.gates.get(name)
+        gate = work.get_gate(name)
         if gate is None:
             continue
         cell = gate.cell.name
@@ -174,7 +178,7 @@ def _merge_pass(
             wide3 = f"{'AND' if cell == 'AND' else 'OR'}3"
             wide4 = f"{'AND' if cell == 'AND' else 'OR'}4"
             for idx, src in enumerate(ins):
-                inner = work.gates.get(src)
+                inner = work.get_gate(src)
                 if (
                     inner is not None
                     and inner.cell.name == cell
@@ -188,13 +192,12 @@ def _merge_pass(
                     work.set_gate(name, cell, new_inputs)
                     work.remove_gate(src)
                     name_map.pop(src, None)
-                    fanout = work.fanout_map()
                     break
             gate = work.gate(name)
             ins = list(gate.inputs)
             if len(ins) == 3 and wide4 in library:
                 for idx, src in enumerate(ins):
-                    inner = work.gates.get(src)
+                    inner = work.get_gate(src)
                     if (
                         inner is not None
                         and inner.cell.name == cell
@@ -206,14 +209,13 @@ def _merge_pass(
                         work.set_gate(name, cell, list(inner.inputs) + others)
                         work.remove_gate(src)
                         name_map.pop(src, None)
-                        fanout = work.fanout_map()
                         break
             continue
 
         # NOT(AND(a,b[,c])) -> NAND ; NOT(OR(...)) -> NOR (absorb the inverter).
         if cell == "NOT":
             src = ins[0]
-            inner = work.gates.get(src)
+            inner = work.get_gate(src)
             if (
                 inner is not None
                 and inner.cell.name in ("AND", "OR")
@@ -229,7 +231,6 @@ def _merge_pass(
                     work.set_gate(name, inverted, inner.inputs)
                     work.remove_gate(src)
                     name_map.pop(src, None)
-                    fanout = work.fanout_map()
             continue
 
         # NOR(AND(a,b), c) -> AOI21 ; NOR(AND(a,b), AND(c,d)) -> AOI22
@@ -240,7 +241,7 @@ def _merge_pass(
             complex1 = "AOI21" if cell == "NOR" else "OAI21"
             inner_gates = []
             for src in ins:
-                inner = work.gates.get(src)
+                inner = work.get_gate(src)
                 if (
                     inner is not None
                     and inner.cell.name == inner_cell
@@ -257,19 +258,16 @@ def _merge_pass(
                 for src in ins:
                     work.remove_gate(src)
                     name_map.pop(src, None)
-                fanout = work.fanout_map()
             elif inner_gates[0] is not None and complex1 in library:
                 new_inputs = list(inner_gates[0].inputs) + [ins[1]]
                 work.set_gate(name, _ComplexPlaceholder(complex1), new_inputs)
                 work.remove_gate(ins[0])
                 name_map.pop(ins[0], None)
-                fanout = work.fanout_map()
             elif inner_gates[1] is not None and complex1 in library:
                 new_inputs = list(inner_gates[1].inputs) + [ins[0]]
                 work.set_gate(name, _ComplexPlaceholder(complex1), new_inputs)
                 work.remove_gate(ins[1])
                 name_map.pop(ins[1], None)
-                fanout = work.fanout_map()
             continue
 
 

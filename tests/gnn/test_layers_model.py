@@ -1,5 +1,7 @@
 """Unit tests for GNN layers, model, loss and optimiser (incl. gradient checks)."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -182,3 +184,24 @@ class TestModel:
         a = GraphSageClassifier(config)
         b = GraphSageClassifier(config)
         assert np.array_equal(a.input_layer.weight, b.input_layer.weight)
+
+    def test_pickle_and_inference_leave_out_forward_activations(self):
+        config = GnnConfig(n_features=5, n_classes=2, hidden_dim=8, dropout=0.5)
+        model = GraphSageClassifier(config)
+        features = np.random.default_rng(0).normal(size=(400, 5))
+        adj = normalize_adjacency(_ring_adjacency(400))
+        model.forward(features, adj, training=True)
+        blob = pickle.dumps(model)
+        # The weights travel; the last pass's activations and masks do not,
+        # and pickling leaves the live model's backward state alone.
+        assert len(blob) < 20_000
+        assert model.input_layer._cache and model.dropouts[1]._mask is not None
+        clone = pickle.loads(blob)
+        assert all(layer._cache == {} for layer in clone._layers)
+        assert all(dropout._mask is None for dropout in clone.dropouts)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(model.get_weights(), clone.get_weights())
+        )
+        assert np.array_equal(model.predict(features, adj), clone.predict(features, adj))
+        # Inference keeps no activations for a backward pass that never comes.
+        assert all(layer._cache == {} for layer in model._layers)

@@ -71,8 +71,9 @@ class TestCampaignTelemetry:
         rollup = load_rollup(obs_dir)
         assert rollup is not None
         assert rollup["merged_sidecars"] == len(tasks)
-        for kind in ("dataset_generate", "sampling", "train", "train_epoch",
-                     "cache", "queue_wait"):
+        for kind in ("dataset_generate", "dataset_build", "sampling", "train",
+                     "train_epoch", "postprocess", "removal", "cache",
+                     "queue_wait"):
             assert kind in rollup["spans"], f"missing span kind {kind}"
         # Sidecars were consumed into the rollup.
         assert not list((obs_dir / "pending").glob("*.json"))
